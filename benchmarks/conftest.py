@@ -3,7 +3,8 @@
 Every benchmark regenerates one of the paper's tables/figures at the true
 paper scale (override with ``REPRO_BENCH_SCALE``), times it with
 pytest-benchmark, prints the measured series next to the paper's reported
-shape, and archives the text table under ``benchmarks/results/``.
+shape, and archives the text table under ``benchmarks/results/`` when
+``REPRO_BENCH_RECORD=1`` (a session temporary directory otherwise).
 """
 
 from __future__ import annotations
@@ -78,8 +79,20 @@ def bench_runner() -> dict:
 
 
 @pytest.fixture(scope="session")
-def emit(bench_runner):
-    """Print a result table and archive it under benchmarks/results/.
+def results_dir(tmp_path_factory) -> pathlib.Path:
+    """Where :func:`emit` archives tables: ``benchmarks/results/`` when
+    ``REPRO_BENCH_RECORD=1`` (CI sets it on the steps that upload the
+    directory), else a session temporary directory, so a plain test run
+    leaves the committed tables untouched."""
+    if os.environ.get("REPRO_BENCH_RECORD", "").strip() == "1":
+        RESULTS_DIR.mkdir(exist_ok=True)
+        return RESULTS_DIR
+    return tmp_path_factory.mktemp("bench_results")
+
+
+@pytest.fixture
+def emit(bench_runner, results_dir):
+    """Print a result table and archive it (see :func:`results_dir`).
 
     With ``data``, a machine-readable ``BENCH_<name>.json`` document is
     written next to the text table; CI uploads ``benchmarks/results/`` as a
@@ -87,30 +100,33 @@ def emit(bench_runner):
     trajectory across runs.  Every JSON payload records the *active* kernel
     backend (post-fallback) plus uniform host/run metadata
     (:func:`repro.obs.run_metadata`: python/numpy versions, cpu count,
-    machine, git describe) and a metrics-registry snapshot, so
+    machine, git describe) and the metrics-registry delta over the
+    benchmark's own window (from its setup to the emit), so
     compiled-backend entries in the perf trajectory are distinguishable
-    from numpy ones and numbers from different hosts never get conflated.
+    from numpy ones, numbers from different hosts never get conflated, and
+    no other test's counters leak into a benchmark's record.
     """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    from repro.obs import run_metadata, snapshot
+    from repro.obs import run_metadata, snapshot, snapshot_delta
 
-    meta = run_metadata(kernel=bench_runner["kernel"])
+    before = snapshot()
 
     def _emit(name: str, text: str, data: dict | None = None) -> None:
         print()
         print(text)
-        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+        (results_dir / f"{name}.txt").write_text(text + "\n")
         if data is not None:
             import json
 
+            metrics = snapshot_delta(before)
+            meta = run_metadata(kernel=bench_runner["kernel"])
             payload = {
                 "benchmark": name,
                 "kernel": meta["kernel"],  # kept top-level for older readers
                 "meta": meta,
-                "metrics": snapshot(),
+                "metrics": metrics,
                 "data": data,
             }
-            (RESULTS_DIR / f"BENCH_{name}.json").write_text(
+            (results_dir / f"BENCH_{name}.json").write_text(
                 json.dumps(payload, indent=2, sort_keys=True) + "\n"
             )
 

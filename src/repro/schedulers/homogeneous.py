@@ -28,9 +28,20 @@ The threshold search is the planning bottleneck at paper scale, so it is
 bulk-evaluated: candidate triples are first *deduplicated* by their
 simulation signature ``(n, mu, c, w)`` -- the virtual makespan depends on
 nothing else -- keeping the first occurrence (which is also the one
-``min()`` would select among equals), and the surviving candidates are
-scored in one :func:`~repro.sim.batch.batch_simulate` call instead of a
-Python loop of individual simulations.
+``min()`` would select among equals).  Under a makespan objective the
+search is then an exact branch-and-bound.  :func:`virtual_makespan_bound`
+bounds each candidate's virtual makespan in closed form -- the master's
+port traffic times ``c``, or the busiest worker's ``r t`` updates per
+panel column times ``w`` -- with no plan built.  The lowest-bound
+candidate is simulated first; its makespan ``U`` is the incumbent, and
+every candidate with ``bound * (1 - BOUND_SLACK) > U`` is strictly worse
+than it and dropped (see :data:`BOUND_SLACK` for why the rounding slack
+is safe).  The winner, its estimate and every makespan are unchanged.
+The survivors are scored in one :func:`~repro.sim.batch.batch_simulate`
+call instead of a Python loop of individual simulations.  Cost and blend
+objectives are not bounded by the makespan bound, so they score every
+candidate.  Each plan records its search in ``meta["threshold_search"]``
+(``candidates``, ``simulated``, ``pruned``, ``incumbent``).
 
 On *dynamic* platforms the one-shot choice can be wrong one event later;
 :meth:`HomScheduler.reselection_candidates` re-enumerates the threshold
@@ -48,6 +59,7 @@ from dataclasses import dataclass
 from ..core.blocks import BlockGrid, ceil_div
 from ..core.chunks import Chunk, make_chunk
 from ..core.layout import overlapped_mu
+from ..obs import counter
 from ..platform.model import Platform
 from ..sim.batch import batch_simulate
 from ..sim.plan import Plan
@@ -136,18 +148,59 @@ class _VirtualChoice:
     n_workers: int
 
 
+@dataclass(frozen=True)
+class _ThresholdSearch:
+    """One threshold search: the scored candidates, in enumeration order
+    (pruned ones omitted), and the plan's ``meta["threshold_search"]``
+    account ``{candidates, simulated, pruned, incumbent}`` -- the
+    incumbent is the makespan simulated first, ``None`` when nothing may
+    be pruned (objectives other than makespan)."""
+
+    choices: list[_VirtualChoice]
+    stats: dict
+
+
+#: Relative rounding slack of :func:`virtual_makespan_bound`.  A simulated
+#: makespan is a chain of IEEE-754 additions ``end = start + cost`` with
+#: non-negative operands, each start no earlier than the previous end on the
+#: same resource (the port, or one worker's compute unit), and each cost a
+#: rounded product.  Every rounding loses at most a factor ``(1 - u)``,
+#: ``u = 2**-53``, so a chain of ``K`` messages computes at least
+#: ``(1 - u)**(K + 1)`` times the exact busy time, and the bound itself is
+#: one rounded product.  Hence ``makespan >= bound * (1 - (K + 2) u)``, and
+#: ``bound * (1 - BOUND_SLACK) <= makespan`` holds for up to ~9e6 messages
+#: per simulation -- far beyond any grid here.
+BOUND_SLACK = 1e-9
+
+
+def virtual_makespan_bound(grid: BlockGrid, n: int, mu: int, c: float, w: float) -> float:
+    """Closed-form lower bound on the virtual makespan of
+    :func:`homogeneous_plan` with ``n`` workers of link cost ``c`` and
+    compute cost ``w``: the one-port master is busy for ``c`` times the
+    tiling's port traffic, and the busiest worker computes ``r t`` updates
+    per column of its panels.  Panel ``j`` goes to slot ``j mod n``, so
+    slot 0 is the busiest: it holds the most panels, and when it holds the
+    narrow last panel every other slot holds one panel fewer."""
+    widths = sum(min(mu, grid.s - j0) for j0 in range(0, grid.s, n * mu))
+    return max(c * homogeneous_port_blocks(grid, mu), w * (grid.r * grid.t * widths))
+
+
 def _evaluate_candidates(
     platform: Platform,
     grid: BlockGrid,
     thresholds: list[tuple[list[int], float, float, int]],
-) -> list[_VirtualChoice]:
-    """Bulk-evaluate threshold candidates ``(enrolled, c, w, m)``.
+    prune: bool,
+) -> _ThresholdSearch:
+    """Evaluate threshold candidates ``(enrolled, c, w, m)``.
 
     Candidates are deduplicated by their simulation signature
-    ``(n, mu, c, w)`` -- the virtual platform's makespan depends on nothing
-    else -- keeping the *first* occurrence, which is exactly the candidate
-    ``min()`` would retain among equal estimates, so the selected schedule
-    is unchanged.  The survivors are scored in one batch.
+    ``(n, mu, c, w)``, keeping the *first* occurrence, which is exactly
+    the candidate ``min()`` would retain among equal estimates.  With
+    ``prune`` the candidate of lowest :func:`virtual_makespan_bound`
+    (first on ties) is simulated first, and every candidate whose bound,
+    less the rounding slack, exceeds that incumbent is dropped: it is
+    strictly worse, so ``min()`` keeps the same first-occurrence winner.
+    The survivors are scored in one batch.
     """
     specs: list[tuple[list[int], float, float, int, int, int]] = []
     seen: set[tuple[int, int, float, float]] = set()
@@ -162,9 +215,11 @@ def _evaluate_candidates(
             continue
         seen.add(key)
         specs.append((enrolled, c_app, w_app, m_thr, n, mu))
-    runs = []
+
     plan_cache: dict[tuple[int, int], Plan] = {}
-    for _enrolled, c_app, w_app, m_thr, n, mu in specs:
+
+    def run(spec):
+        _enrolled, c_app, w_app, m_thr, n, mu = spec
         virtual = Platform.homogeneous(n, c_app, w_app, m_thr, name="virtual")
         # the scoring plan depends only on (n, mu): share one read-only
         # plan object across candidates that differ only in (c, w, m)
@@ -175,24 +230,45 @@ def _evaluate_candidates(
             )
             plan.collect_events = False
             plan_cache[(n, mu)] = plan
-        runs.append((virtual, plan))
-    estimates = batch_simulate(runs)
-    out = []
-    for (enrolled, c_app, w_app, m_thr, n, mu), est in zip(specs, estimates):
+        return virtual, plan
+
+    incumbent = None
+    kept = list(range(len(specs)))
+    estimates: dict[int, float] = {}
+    if prune and specs:
+        bounds = [virtual_makespan_bound(grid, n, mu, c, w) for _e, c, w, _m, n, mu in specs]
+        first = min(kept, key=bounds.__getitem__)
+        incumbent = float(batch_simulate([run(specs[first])])[0])
+        estimates[first] = incumbent
+        kept = [i for i in kept if i == first or bounds[i] * (1 - BOUND_SLACK) <= incumbent]
+    rest = [i for i in kept if i not in estimates]
+    estimates.update(zip(rest, map(float, batch_simulate([run(specs[i]) for i in rest]))))
+
+    choices = []
+    for k in kept:
+        enrolled, c_app, w_app, m_thr, n, mu = specs[k]
         # rank candidate real workers: fastest compute, then fastest link
         ranked = sorted(enrolled, key=lambda i: (platform[i].w, platform[i].c, i))
-        out.append(
+        choices.append(
             _VirtualChoice(
                 enrolled=tuple(ranked[:n]),
                 c=c_app,
                 w=w_app,
                 m=m_thr,
-                estimate=float(est),
+                estimate=estimates[k],
                 mu=mu,
                 n_workers=n,
             )
         )
-    return out
+    counter("hom.search.candidates").inc(len(specs))
+    counter("hom.search.pruned").inc(len(specs) - len(kept))
+    stats = {
+        "candidates": len(specs),
+        "simulated": len(kept),
+        "pruned": len(specs) - len(kept),
+        "incumbent": incumbent,
+    }
+    return _ThresholdSearch(choices, stats)
 
 
 @dataclass(frozen=True)
@@ -304,8 +380,11 @@ class HomScheduler(Scheduler):
             out.append((enrolled, c_app, w_app, m_thr))
         return out
 
-    def _candidates(self, platform: Platform, grid: BlockGrid) -> list[_VirtualChoice]:
-        return _evaluate_candidates(platform, grid, self._thresholds(platform))
+    def _candidates(self, platform: Platform, grid: BlockGrid) -> _ThresholdSearch:
+        # only a makespan score is bounded by the virtual makespan bound
+        objective = self.objective
+        prune = objective is None or objective.is_makespan
+        return _evaluate_candidates(platform, grid, self._thresholds(platform), prune)
 
     def _pick(self, candidates: list[_VirtualChoice], pgrid: BlockGrid) -> _VirtualChoice:
         """Select the best threshold candidate under the active objective.
@@ -338,10 +417,10 @@ class HomScheduler(Scheduler):
 
     def plan(self, platform: Platform, grid: BlockGrid) -> Plan:
         pgrid = self.geometry.plan_grid(grid)
-        candidates = self._candidates(platform, pgrid)
-        if not candidates:
+        search = self._candidates(platform, pgrid)
+        if not search.choices:
             raise SchedulingError(f"{self.name}: no feasible virtual platform")
-        best = self._pick(candidates, pgrid)
+        best = self._pick(search.choices, pgrid)
         plan = homogeneous_plan(
             pgrid,
             n_workers=best.n_workers,
@@ -354,6 +433,7 @@ class HomScheduler(Scheduler):
                 "algorithm": self.name,
                 "virtual_estimate": best.estimate,
                 "apparent": {"c": best.c, "w": best.w, "m": best.m},
+                "threshold_search": search.stats,
             }
         )
         return self.geometry.finalize(plan, grid)

@@ -464,7 +464,7 @@ def test_homi_dedupe_preserves_choice(het_platform, small_grid):
     selected virtual platform (and the final plan) is unchanged; duplicate
     signatures are simulated only once."""
     sched = make_scheduler("HomI")
-    candidates = sched._candidates(het_platform, small_grid)
+    candidates = sched._candidates(het_platform, small_grid).choices
     sigs = [(ch.n_workers, ch.mu, ch.c, ch.w) for ch in candidates]
     assert len(sigs) == len(set(sigs))
     plan = sched.plan(het_platform, small_grid)
