@@ -33,15 +33,12 @@ def bench_runner() -> dict:
     * ``REPRO_BENCH_CACHE``: content-addressed result-cache directory
       (reruns become lookups);
     * ``REPRO_BENCH_ENGINE``: ``fast`` (default) / ``reference`` /
-      ``batch`` simulation engine;
-    * ``REPRO_BENCH_KERNEL``: kernel backend for the fast/batch engines
-      (``numpy`` default / ``numba`` / ``c`` / ``python`` — see
-      :mod:`repro.sim.kernels`; unavailable backends fall back to numpy
-      with a warning).
+      ``batch`` simulation engine.
 
     E.g. ``REPRO_BENCH_PARALLEL=auto pytest -m slow`` records multi-core
-    numbers on a multi-core machine, and ``REPRO_BENCH_KERNEL=numba``
-    records compiled-backend numbers.
+    numbers on a multi-core machine.  The kernel backend follows
+    ``REPRO_KERNEL`` (see :mod:`repro.sim.kernels`), so
+    ``REPRO_KERNEL=c pytest -m slow`` records compiled-backend numbers.
     """
     raw = os.environ.get("REPRO_BENCH_PARALLEL", "").strip()
     if not raw:
@@ -67,15 +64,7 @@ def bench_runner() -> dict:
         raise pytest.UsageError(
             f"REPRO_BENCH_ENGINE must be one of {ENGINES}, got {engine!r}"
         )
-    kernel = os.environ.get("REPRO_BENCH_KERNEL", "").strip() or None
-    if kernel is not None:
-        from repro.sim.kernels import KERNEL_NAMES
-
-        if kernel not in KERNEL_NAMES:
-            raise pytest.UsageError(
-                f"REPRO_BENCH_KERNEL must be one of {KERNEL_NAMES}, got {kernel!r}"
-            )
-    return {"parallel": parallel, "cache": cache, "engine": engine, "kernel": kernel}
+    return {"parallel": parallel, "cache": cache, "engine": engine}
 
 
 @pytest.fixture(scope="session")
@@ -91,7 +80,7 @@ def results_dir(tmp_path_factory) -> pathlib.Path:
 
 
 @pytest.fixture
-def emit(bench_runner, results_dir):
+def emit(results_dir):
     """Print a result table and archive it (see :func:`results_dir`).
 
     With ``data``, a machine-readable ``BENCH_<name>.json`` document is
@@ -118,7 +107,7 @@ def emit(bench_runner, results_dir):
             import json
 
             metrics = snapshot_delta(before)
-            meta = run_metadata(kernel=bench_runner["kernel"])
+            meta = run_metadata()
             payload = {
                 "benchmark": name,
                 "kernel": meta["kernel"],  # kept top-level for older readers

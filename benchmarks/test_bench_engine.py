@@ -116,9 +116,9 @@ def _ladder(scheduler_name: str):
     for name in available_backends():
         if name == "numpy":
             continue
-        backend = get_backend(name)
+        backend = type(get_backend(name))()  # fresh instance: time its warm-up
         t0 = time.perf_counter()
-        backend.ensure_ready()  # JIT compile / build+load, timed separately
+        backend.ensure_ready()  # build (or load the cached build), timed separately
         warmup = time.perf_counter() - t0
         engine = BatchEngine(
             [(plat, _clone(plan)) for _ in range(_LADDER_B)], kernel=backend
@@ -148,10 +148,9 @@ def _report_ladder(name: str, scheduler_name: str, emit) -> None:
             "warmup_seconds": warmup,
         }
     emit(name, "\n".join(lines), data=data)
-    # real compiled backends must beat the per-step numpy path handily;
-    # the interpreted `python` rung is a debugging oracle, not a target
+    # the compiled backend must beat the per-step numpy path handily
     for label, secs, _w, _m in rows:
-        if label in ("numba", "c"):
+        if label == "c":
             assert base / secs >= 3.0, (label, base / secs)
 
 

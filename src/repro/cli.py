@@ -19,7 +19,9 @@ Subcommands
 
 Passing ``--trace FILE`` (or setting ``REPRO_TRACE=FILE``) on the run
 subcommands writes a Chrome/Perfetto-loadable trace of the whole
-invocation -- open it at https://ui.perfetto.dev.
+invocation -- open it at https://ui.perfetto.dev.  ``REPRO_KERNEL=c``
+runs every simulation on the compiled C kernel (bit-identical to the
+default numpy path; see :mod:`repro.sim.kernels`).
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .experiments.report import format_fig9, format_relative_table, format_summa
 from .experiments.table2 import table2_demo
 from .platform import generators as gen
 from .schedulers.registry import SCHEDULERS, canonical_name, make_scheduler
-from .sim.kernels import KERNEL_NAMES
 from .sim.trace import gantt_ascii, worker_utilization
 from .theory import bounds as th_bounds
 from .theory import ccr as th_ccr
@@ -112,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
             "makespans are bit-identical across all three",
         )
         add_objective_opt(p)
-        add_kernel_opt(p)
         add_trace_opt(p)
 
     def add_trace_opt(p: argparse.ArgumentParser) -> None:
@@ -122,16 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="FILE",
             help="write a Chrome/Perfetto trace of this invocation to FILE "
             "(also enabled by REPRO_TRACE=FILE)",
-        )
-
-    def add_kernel_opt(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--kernel",
-            default=None,
-            choices=KERNEL_NAMES,
-            help="simulation kernel backend (default: $REPRO_KERNEL or "
-            "'numpy'); compiled backends are bit-identical to numpy and "
-            "fall back to it, with a warning, when unavailable",
         )
 
     p_fig = sub.add_parser("figure", help="run one paper figure")
@@ -191,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         "trace for --gantt and the breakdown report, the others skip traces",
     )
     add_objective_opt(p_run)
-    add_kernel_opt(p_run)
     add_trace_opt(p_run)
 
     p_srv = sub.add_parser(
@@ -372,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("reference", "fast", "batch"),
         help="simulation engine for the figure workload",
     )
-    add_kernel_opt(p_prof)
     add_trace_opt(p_prof)
 
     p_bounds = sub.add_parser("bounds", help="Section 3 CCR bounds")
@@ -399,7 +387,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         parallel=args.parallel,
         cache=args.cache,
         engine=args.engine,
-        kernel=args.kernel,
         objective=args.objective,
     )
     print(format_relative_table(res, "cost"))
@@ -418,7 +405,6 @@ def _cmd_summary(args: argparse.Namespace) -> int:
         parallel=args.parallel,
         cache=args.cache,
         engine=args.engine,
-        kernel=args.kernel,
         objective=args.objective,
     )
     print(format_fig9(res))
@@ -471,15 +457,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             if args.engine == "fast":
                 from .sim.fastpath import fast_simulate
 
-                res = fast_simulate(platform, plan, grid, kernel=args.kernel)
+                res = fast_simulate(platform, plan, grid)
             else:
                 from .sim.batch import batch_outcomes
 
                 # force=True: a single run is below MIN_VECTOR_BATCH, but
                 # the flag promises the vectorized engine
-                outcome = batch_outcomes(
-                    [(platform, plan)], force=True, kernel=args.kernel
-                )[0]
+                outcome = batch_outcomes([(platform, plan)], force=True)[0]
                 res = outcome.to_sim_result(platform, plan, grid)
             res.meta.setdefault("algorithm", sched.name)
     except SchedulingError as exc:
@@ -610,7 +594,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         parallel=args.parallel,
         cache=args.cache,
         engine=args.engine,
-        kernel=args.kernel,
         objective=args.objective,
     )
     print(
@@ -743,7 +726,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                     args.scale,
                     _algorithms(args.algorithms),
                     engine=args.engine,
-                    kernel=args.kernel,
                 )
             label = f"figure {fig} (engine {args.engine})"
         metrics = snapshot_delta(before)

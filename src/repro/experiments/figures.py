@@ -122,18 +122,15 @@ def run_figure(
     parallel=None,
     cache=None,
     engine: str = "fast",
-    kernel=None,
     objective=None,
 ) -> ExperimentResult:
     """Run one paper figure end to end.
 
-    ``parallel``, ``cache``, ``engine``, ``kernel`` and ``objective`` are
-    forwarded to
+    ``parallel``, ``cache``, ``engine`` and ``objective`` are forwarded to
     :func:`~repro.experiments.harness.run_experiment`, so a figure's
     (algorithm, instance) runs can fan out across cores, reuse
-    content-addressed results from earlier invocations, simulate as one
-    vectorized batch (``engine="batch"``), or replay through a compiled
-    kernel backend (``kernel="numba"``/``"c"``).
+    content-addressed results from earlier invocations, or simulate as
+    one vectorized batch (``engine="batch"``).
     """
     try:
         factory = FIGURES[fig]
@@ -148,7 +145,6 @@ def run_figure(
             parallel=parallel,
             cache=cache,
             engine=engine,
-            kernel=kernel,
             objective=objective,
         )
 
@@ -161,7 +157,6 @@ def run_summary(
     parallel=None,
     cache=None,
     engine: str = "fast",
-    kernel=None,
     objective=None,
 ) -> ExperimentResult:
     """Figure 9: union of all experiments (relative metrics recomputed over
@@ -170,8 +165,7 @@ def run_summary(
     for fig in figures:
         res = run_figure(
             fig, scale, schedulers,
-            parallel=parallel, cache=cache, engine=engine, kernel=kernel,
-            objective=objective,
+            parallel=parallel, cache=cache, engine=engine, objective=objective,
         )
         merged = res if merged is None else merged.merged_with(res, name="fig9")
     assert merged is not None

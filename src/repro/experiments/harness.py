@@ -153,7 +153,6 @@ def run_experiment(
     parallel=None,
     cache=None,
     engine: str = "fast",
-    kernel=None,
     objective=None,
 ) -> ExperimentResult:
     """Run ``schedulers`` (default: the paper's seven) on every instance.
@@ -184,11 +183,9 @@ def run_experiment(
     reference engine.  Both are ignored when ``validate`` or
     ``collect_events`` asks for full traces.
 
-    ``kernel`` selects a compiled simulation backend (see
-    :mod:`repro.sim.kernels`) for the ``"fast"`` and ``"batch"`` engines;
-    every backend is bit-identical, so cached results stay valid.  The
-    parallel ``RunTask`` fan-out honours the ``REPRO_KERNEL`` environment
-    knob (inherited by worker processes) rather than an explicit argument.
+    Every simulation, worker processes included, runs on the kernel
+    backend ``REPRO_KERNEL`` names (see :mod:`repro.sim.kernels`); all
+    backends are bit-identical, so cached results stay valid.
 
     ``objective`` (a name, spec string, or
     :class:`~repro.experiments.objectives.Objective`) is applied to every
@@ -215,7 +212,6 @@ def run_experiment(
             parallel=parallel,
             cache=cache,
             engine=engine,
-            kernel=kernel,
             objective=objective,
         )
     result.metrics = snapshot_delta(before)
@@ -232,7 +228,6 @@ def _run_experiment(
     parallel=None,
     cache=None,
     engine: str = "fast",
-    kernel=None,
     objective=None,
 ) -> ExperimentResult:
     if engine not in ENGINES:
@@ -274,7 +269,7 @@ def _run_experiment(
     if engine != "fast" and not full_traces:
         return _run_with_engine(
             result, instances, scheds, bounds, engine, parallel, cache,
-            kernel=kernel, objective=obj,
+            objective=obj,
         )
     use_runner = (parallel is not None or cache is not None) and not full_traces
     if use_runner:
@@ -320,7 +315,6 @@ def _run_experiment(
                     inst.platform,
                     inst.grid,
                     collect_events=collect_events or validate,
-                    kernel=kernel,
                 )
             except SchedulingError as exc:
                 result.failures[(sched.name, inst.label)] = str(exc)
@@ -351,7 +345,6 @@ def evaluate_suite(
     *,
     parallel=None,
     cache=None,
-    kernel=None,
 ) -> list[dict]:
     """Plan and simulate every ``(scheduler, platform, grid)`` job under an
     explicit engine, returning one JSON-safe payload per job in order
@@ -390,8 +383,7 @@ def evaluate_suite(
             (i, pp) for i, pp in zip(todo, plan_payloads) if "error" not in pp
         ]
         values = evaluate_runs(
-            [(jobs[i][1], pp["plan"]) for i, pp in runnable], engine,
-            kernel=kernel,
+            [(jobs[i][1], pp["plan"]) for i, pp in runnable], engine
         )
         cursor = 0
         for i, pp in zip(todo, plan_payloads):
@@ -413,7 +405,7 @@ def evaluate_suite(
     return payloads  # type: ignore[return-value]
 
 
-def evaluate_runs(runs, engine: str, *, kernel=None) -> list[tuple[float, int, dict]]:
+def evaluate_runs(runs, engine: str) -> list[tuple[float, int, dict]]:
     """Simulate pre-compiled ``(platform, plan)`` runs under an explicit
     engine, returning ``(makespan, n_enrolled, meta)`` per run (traces off;
     allocator plans are consumed).  The returned meta additionally records
@@ -423,9 +415,7 @@ def evaluate_runs(runs, engine: str, *, kernel=None) -> list[tuple[float, int, d
     The single place where the engine vocabulary maps to simulation calls:
     ``"batch"`` submits all runs to one vectorized
     :func:`~repro.sim.batch.batch_outcomes` call, the others simulate per
-    run.  All engines are bit-identical per run.  ``kernel`` selects a
-    compiled backend for ``"batch"`` and ``"fast"`` (the reference engine
-    always interprets, since it carries the event machinery).
+    run.  All engines are bit-identical per run.
     """
     if engine == "batch":
         from ..sim.batch import batch_outcomes
@@ -433,15 +423,12 @@ def evaluate_runs(runs, engine: str, *, kernel=None) -> list[tuple[float, int, d
         with trace("simulate", engine=engine, runs=len(runs)):
             return [
                 (o.makespan, o.n_enrolled, _with_port(o.meta, o.blocks_through_port))
-                for o in batch_outcomes(runs, kernel=kernel)
+                for o in batch_outcomes(runs)
             ]
     if engine == "reference":
         from ..sim.engine import simulate as run_one
     elif engine == "fast":
-        from ..sim.fastpath import fast_simulate
-
-        def run_one(platform, plan):
-            return fast_simulate(platform, plan, kernel=kernel)
+        from ..sim.fastpath import fast_simulate as run_one
     else:
         raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
     with trace("simulate", engine=engine, runs=len(runs)):
@@ -468,7 +455,6 @@ def _run_with_engine(
     engine: str,
     parallel=None,
     cache=None,
-    kernel=None,
     objective: Objective | None = None,
 ) -> ExperimentResult:
     """Plan (optionally across processes), then simulate under an
@@ -480,7 +466,6 @@ def _run_with_engine(
         engine,
         parallel=parallel,
         cache=cache,
-        kernel=kernel,
     )
     for (sched, inst), payload in zip(pairs, payloads):
         if "error" in payload:

@@ -16,7 +16,7 @@ from typing import Sequence
 from ..core.blocks import BlockGrid
 from ..obs import trace
 from ..platform.generators import fully_heterogeneous, scale_grid, scale_platform
-from ..schedulers.base import Scheduler, SchedulingError
+from ..schedulers.base import SchedulingError
 from ..schedulers.registry import make_scheduler
 from ..theory.steady_state import makespan_lower_bound
 
@@ -86,138 +86,40 @@ def _measure_points(
     parallel,
     cache,
     engine: str = "fast",
-    kernel=None,
     objective=None,
 ) -> list[SweepPoint]:
     """Shared sweep core: run every algorithm on every (ratio, platform)
-    point.  With ``parallel``/``cache`` the whole sweep becomes one flat
-    task list through :func:`repro.experiments.parallel.run_tasks`, so a
-    multi-ratio sweep saturates the worker pool instead of fanning out one
-    point at a time.  ``engine="batch"`` instead compiles every plan first
-    and simulates the whole sweep in one vectorized submission
-    (``"reference"`` selects the event engine; all engines produce
-    bit-identical makespans)."""
-    from .harness import ENGINES
+    point as one :func:`~repro.experiments.harness.run_experiment`, so
+    ``parallel``/``cache``/``engine`` mean exactly what they mean for a
+    figure (a multi-ratio sweep fans out as one flat task list; all
+    engines produce bit-identical makespans).  Infeasible combinations
+    are left out of their point."""
+    from .harness import Instance, run_experiment
 
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
-    points: list[SweepPoint] = []
-    if engine != "fast":
-        if cache is not None and engine == "reference":
-            import warnings
-
-            warnings.warn(
-                f"cache= is ignored with engine={engine!r}: cached payloads "
-                "address the eventless fast-path/batch runs",
-                stacklevel=3,
-            )
-            cache = None
-        return _measure_points_engine(
-            labelled_platforms, grid, algorithms, engine, parallel, cache,
-            kernel=kernel, objective=objective,
-        )
-    if parallel is not None or cache is not None:
-        from .parallel import RunTask, run_tasks
-
-        scheds = {
-            name: make_scheduler(name, objective=objective) for name in algorithms
-        }
-        tasks = [
-            RunTask(scheduler=scheds[name], platform=plat, grid=grid)
-            for _ratio, plat in labelled_platforms
-            for name in algorithms
-        ]
-        payloads = run_tasks(tasks, parallel=parallel, cache=cache)
-        cursor = 0
-        for ratio, plat in labelled_platforms:
-            makespans: dict[str, float] = {}
-            enrollment: dict[str, int] = {}
-            for name in algorithms:
-                payload = payloads[cursor]
-                cursor += 1
-                if "error" in payload:
-                    continue
-                makespans[name] = payload["makespan"]
-                enrollment[name] = payload["n_enrolled"]
-            points.append(
-                SweepPoint(
-                    ratio=ratio,
-                    makespans=makespans,
-                    enrollment=enrollment,
-                    bound=makespan_lower_bound(plat, grid),
-                )
-            )
-        return points
-
-    for ratio, plat in labelled_platforms:
-        makespans = {}
-        enrollment = {}
-        for name in algorithms:
-            sched: Scheduler = make_scheduler(name, objective=objective)
-            try:
-                res = sched.run(plat, grid, collect_events=False, kernel=kernel)
-            except SchedulingError:
-                continue
-            makespans[name] = res.makespan
-            enrollment[name] = res.n_enrolled
+    instances = [
+        Instance(f"{i}:{ratio!r}", plat, grid)
+        for i, (ratio, plat) in enumerate(labelled_platforms)
+    ]
+    result = run_experiment(
+        "sweep",
+        instances,
+        [make_scheduler(name, objective=objective) for name in algorithms],
+        parallel=parallel,
+        cache=cache,
+        engine=engine,
+    )
+    points = []
+    for inst, (ratio, plat) in zip(instances, labelled_platforms):
+        measured = [m for m in result.measurements if m.instance == inst.label]
         points.append(
             SweepPoint(
                 ratio=ratio,
-                makespans=makespans,
-                enrollment=enrollment,
+                makespans={m.algorithm: m.makespan for m in measured},
+                enrollment={m.algorithm: m.n_enrolled for m in measured},
                 bound=makespan_lower_bound(plat, grid),
             )
         )
     return points
-
-
-def _points_from(labelled_platforms, grid, keys, values) -> list[SweepPoint]:
-    by_point: dict[int, tuple[dict, dict]] = {}
-    for (ratio, plat, name), (makespan, n_enrolled) in zip(keys, values):
-        makespans, enrollment = by_point.setdefault(id(plat), ({}, {}))
-        makespans[name] = makespan
-        enrollment[name] = n_enrolled
-    return [
-        SweepPoint(
-            ratio=ratio,
-            makespans=by_point.get(id(plat), ({}, {}))[0],
-            enrollment=by_point.get(id(plat), ({}, {}))[1],
-            bound=makespan_lower_bound(plat, grid),
-        )
-        for ratio, plat in labelled_platforms
-    ]
-
-
-def _measure_points_engine(
-    labelled_platforms, grid, algorithms, engine, parallel=None, cache=None,
-    kernel=None, objective=None,
-) -> list[SweepPoint]:
-    """Plan (optionally across processes, skipping cached batch results),
-    then score centrally under the explicit engine — one vectorized
-    submission for ``"batch"``; infeasible combinations are skipped exactly
-    like the serial path's SchedulingError handling."""
-    from .harness import evaluate_suite
-
-    scheds = {name: make_scheduler(name, objective=objective) for name in algorithms}
-    jobs = [
-        (ratio, plat, name)
-        for ratio, plat in labelled_platforms
-        for name in algorithms
-    ]
-    payloads = evaluate_suite(
-        [(scheds[name], plat, grid) for _ratio, plat, name in jobs],
-        engine,
-        parallel=parallel,
-        cache=cache,
-        kernel=kernel,
-    )
-    keys, values = [], []
-    for (ratio, plat, name), payload in zip(jobs, payloads):
-        if "error" in payload:
-            continue
-        keys.append((ratio, plat, name))
-        values.append((payload["makespan"], payload["n_enrolled"]))
-    return _points_from(labelled_platforms, grid, keys, values)
 
 
 def heterogeneity_sweep(
@@ -229,7 +131,6 @@ def heterogeneity_sweep(
     parallel=None,
     cache=None,
     engine: str = "fast",
-    kernel=None,
     objective=None,
 ) -> HeterogeneitySweep:
     """Run every algorithm over fully heterogeneous platforms whose
@@ -245,7 +146,7 @@ def heterogeneity_sweep(
     sweep.points.extend(
         _measure_points(
             labelled, grid, algorithms, parallel, cache, engine,
-            kernel=kernel, objective=objective,
+            objective=objective,
         )
     )
     return sweep
@@ -302,7 +203,6 @@ def straggler_sweep(
     parallel=None,
     cache=None,
     engine: str = "fast",
-    kernel=None,
     objective=None,
 ) -> HeterogeneitySweep:
     """Degrade one worker of an otherwise homogeneous platform by a growing
@@ -329,7 +229,7 @@ def straggler_sweep(
     sweep.points.extend(
         _measure_points(
             labelled, grid, algorithms, parallel, cache, engine,
-            kernel=kernel, objective=objective,
+            objective=objective,
         )
     )
     return sweep

@@ -341,9 +341,9 @@ class BatchEngine:
     other engines (see :class:`BatchCompileCache`).
 
     ``kernel`` selects the stepping backend (see :mod:`repro.sim.kernels`):
-    the default numpy backend advances one step per Python iteration, a
-    compiled backend (``"numba"`` / ``"c"``) advances whole ``run()``
-    windows in one kernel call.  Results are bit-identical either way.
+    the default numpy backend advances one step per Python iteration, the
+    compiled ``"c"`` backend advances whole ``run()`` windows in one
+    kernel call.  Results are bit-identical either way.
     """
 
     def __init__(

@@ -1,4 +1,4 @@
-"""Compiled simulation kernels behind a backend registry.
+"""Compiled simulation kernels behind a two-backend registry.
 
 The batch engine (:mod:`repro.sim.batch`) advances every instance of a
 bucket by one port message per Python loop iteration -- ~15 tiny numpy
@@ -16,25 +16,22 @@ Backends
 
 ``numpy``
     No kernel at all: :class:`~repro.sim.batch.BatchEngine` keeps its
-    per-step numpy loops.  Always available; the oracle.
-``numba``
-    The two kernels below, compiled with ``numba.njit(cache=True)``.
-    Needs the optional ``numba`` dependency (``pip install repro-mm[speed]``).
+    per-step numpy loops.  Always available; the oracle and the default.
 ``c``
-    The same kernels as a small C file, built once with the system C
-    compiler (``-O2 -ffp-contract=off``) into a cached shared library and
-    driven through :mod:`ctypes`.  Needs a working ``cc``/``gcc``/``clang``.
-``python``
-    The numba kernels interpreted by CPython (no compilation).  Slow --
-    it exists so the *kernel algorithm itself* is testable in
-    environments without numba, and as a debugging oracle.
+    ``BatchEngine._step_strict`` / ``_step_ready`` transcribed per
+    instance into a small C file, built once with the system C compiler
+    (``-O2 -ffp-contract=off``) into a cached shared library and driven
+    through :mod:`ctypes`.  Needs a working ``cc``/``gcc``/``clang`` (or
+    ``$CC``).
 
-Selection: every ``kernel=`` parameter accepts a backend name, a
-:class:`KernelBackend` instance, or ``None`` -- which reads the
-``REPRO_KERNEL`` environment variable and defaults to ``"numpy"``.
-Requesting an unavailable backend falls back to numpy with a single
-warning per process, so ``REPRO_KERNEL=numba`` is safe to export on
-machines where numba is missing.
+Selection: the ``REPRO_KERNEL`` environment variable names the backend
+every simulation uses (default ``numpy``).  The sim entry points
+(``fast_simulate``, ``BatchEngine``, ``batch_outcomes``, ...) also take a
+``kernel=`` argument -- a backend name, a :class:`KernelBackend`, or
+``None`` for the environment -- so tests can pit C against the oracle.
+Unknown names raise :class:`ValueError`; a backend that cannot run here
+(no compiler, failed build) falls back to numpy with a single warning per
+process.
 
 Kernels take an explicit ``t0``/``t1`` step window, so
 ``BatchEngine.run(max_steps=)``, ``checkpoint()/restore()`` and the
@@ -62,11 +59,11 @@ __all__ = [
     "resolve_kernel",
 ]
 
-#: Environment variable naming the default backend for ``kernel=None``.
+#: Environment variable naming the backend for ``kernel=None``.
 KERNEL_ENV = "REPRO_KERNEL"
 
 #: Registered backend names, in documentation order.
-KERNEL_NAMES = ("numpy", "numba", "c", "python")
+KERNEL_NAMES = ("numpy", "c")
 
 #: ``PolicyKeySpec`` field name -> integer code interpreted by the ready
 #: kernels (the spec's field order is preserved; codes index the branch
@@ -79,143 +76,14 @@ class KernelUnavailable(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# the kernels, in Python
+# the kernels, in C
 #
-# These two functions are the *source of truth* for the compiled
-# backends: numba jits them as-is, and the C file below is a line-by-line
-# transcription.  Every floating-point op mirrors the numpy per-step
-# paths (``BatchEngine._step_strict`` / ``_step_ready``) in per-instance
-# order, so all backends are bit-identical.
-# ----------------------------------------------------------------------
-def _strict_run(
-    t0,
-    t1,
-    B,
-    lengths,  # (B,) int64, descending -- instance b is live while t < lengths[b]
-    d_legal,  # (T, B) int64   index into S of the head message's legal start
-    d_ce,  # (T, B) int64      compute-end slot (segment base + 1)
-    d_ring,  # (T, B) int64    ring slot written by round messages
-    d_comm,  # (T, B) float64  pre-multiplied port cost
-    d_comp,  # (T, B) float64  pre-multiplied compute cost
-    d_round,  # (T, B) bool    message is a ROUND
-    d_cret,  # (T, B) bool     message is a C_RETURN
-    S,  # (s,) float64         flat state vector (S[0] frozen 0.0)
-    port_free,  # (B,) float64
-    port_busy,  # (B,) float64
-):
-    n_act = B
-    for t in range(t0, t1):
-        while n_act > 0 and lengths[n_act - 1] <= t:
-            n_act -= 1
-        for b in range(n_act):
-            legal = S[d_legal[t, b]]
-            pf = port_free[b]
-            start = pf if pf > legal else legal
-            end = start + d_comm[t, b]
-            port_free[b] = end
-            port_busy[b] += end - start
-            if d_round[t, b]:
-                cei = d_ce[t, b]
-                cf = S[cei]
-                cs = end if end > cf else cf
-                ce = cs + d_comp[t, b]
-                S[d_ring[t, b]] = ce
-                S[cei] = ce
-                S[cei + 1] += ce - cs
-            elif d_cret[t, b]:
-                S[d_ce[t, b] - 1] = end
-
-
-def _ready_run(
-    t0,
-    t1,
-    B,
-    P,
-    lengths,  # (B,) int64, descending
-    ptr,  # (B, P) int64      next message per (instance, worker)
-    endp,  # (B, P) int64     end of each (instance, worker) stream
-    seg,  # (B, P) int64      state-segment base per (instance, worker)
-    head_legal,  # (B, P) float64  cached head legal starts (inf = drained)
-    head_cid,  # (B, P) float64    cached head chunk ids (inf = drained)
-    f_kind,  # (N,) int8      flat message stream: kind codes (1/2/3)
-    f_comm,  # (N,) float64
-    f_comp,  # (N,) float64
-    f_cid,  # (N,) float64    chunk ids as float64 (exact below 2**53)
-    f_legal,  # (N,) int64
-    f_ring,  # (N,) int64
-    fields,  # (k,) int64     PolicyKeySpec field codes, in spec order
-    S,  # (s,) float64
-    port_free,  # (B,) float64
-    port_busy,  # (B,) float64
-):
-    inf = np.inf
-    n_fields = fields.shape[0]
-    n_act = B
-    for t in range(t0, t1):
-        while n_act > 0 and lengths[n_act - 1] <= t:
-            n_act -= 1
-        for b in range(n_act):
-            pf = port_free[b]
-            hl = head_legal[b]
-            hc = head_cid[b]
-            # lexicographic argmin over (effective start, spec fields);
-            # ascending scan with strict improvement == the numpy masked
-            # argmin (ties resolve to the lowest worker index)
-            best = 0
-            v = hl[0]
-            best_eff = pf if pf > v else v
-            for i in range(1, P):
-                v = hl[i]
-                eff = pf if pf > v else v
-                if eff < best_eff:
-                    best = i
-                    best_eff = eff
-                    continue
-                if eff > best_eff:
-                    continue
-                for k in range(n_fields):
-                    f = fields[k]
-                    if f == 0:
-                        vi = hc[i]
-                        vb = hc[best]
-                    elif f == 1:
-                        vi = hl[i]
-                        vb = hl[best]
-                    else:
-                        # worker_index: the incumbent's index is lower
-                        break
-                    if vi < vb:
-                        best = i
-                        break
-                    if vi > vb:
-                        break
-            mp = ptr[b, best]
-            end = best_eff + f_comm[mp]
-            port_free[b] = end
-            port_busy[b] += end - best_eff
-            kind = f_kind[mp]
-            if kind == 2:  # ROUND
-                cei = seg[b, best] + 1
-                cf = S[cei]
-                cs = end if end > cf else cf
-                ce = cs + f_comp[mp]
-                S[f_ring[mp]] = ce
-                S[cei] = ce
-                S[cei + 1] += ce - cs
-            elif kind == 3:  # C_RETURN
-                S[seg[b, best]] = end
-            nxt = mp + 1
-            ptr[b, best] = nxt
-            if nxt < endp[b, best]:
-                hl[best] = S[f_legal[nxt]]
-                hc[best] = f_cid[nxt]
-            else:
-                hl[best] = inf
-                hc[best] = inf
-
-
-# ----------------------------------------------------------------------
-# the kernels, in C (transcription of the two functions above)
+# strict_run / ready_run transcribe ``BatchEngine._step_strict`` /
+# ``_step_ready`` per instance: every floating-point op mirrors the numpy
+# per-step path in per-instance order, so the backends are bit-identical.
+# Array layouts are the engine's: ``lengths`` is descending (instance b
+# is live while t < lengths[b]), ``S`` is the flat state vector (S[0]
+# frozen 0.0), strict arrays are (T, B) row-major, ready arrays (B, P).
 # ----------------------------------------------------------------------
 _C_SOURCE = r"""
 #include <stdint.h>
@@ -293,6 +161,9 @@ void ready_run(int64_t t0, int64_t t1, int64_t B, int64_t P,
             const double pf = port_free[b];
             double *hl = head_legal + b * P;
             double *hc = head_cid + b * P;
+            /* lexicographic argmin over (effective start, spec fields);
+               ascending scan with strict improvement == the numpy masked
+               argmin (ties resolve to the lowest worker index) */
             int64_t best = 0;
             double v = hl[0];
             double best_eff = RMAX(pf, v);
@@ -352,8 +223,8 @@ class KernelBackend:
     window in a single :meth:`strict_run` / :meth:`ready_run` call; the
     numpy backend sets it ``False`` and the engine keeps its per-step
     loops.  :meth:`ensure_ready` performs any one-time compile/load work
-    (numba JIT, C build) so benchmarks can time warm-up separately from
-    steady state.
+    (the C build); :func:`get_backend` calls it, so a build failure marks
+    the backend unavailable instead of surfacing mid-simulation.
     """
 
     #: registry name
@@ -381,74 +252,6 @@ class NumpyBackend(KernelBackend):
     whole_run = False
 
 
-class PythonBackend(KernelBackend):
-    """The numba kernels interpreted by CPython (testing/debugging only)."""
-
-    name = "python"
-
-    def strict_run(self, *args) -> None:
-        _strict_run(*args)
-
-    def ready_run(self, *args) -> None:
-        _ready_run(*args)
-
-
-class NumbaBackend(KernelBackend):
-    """``numba.njit(cache=True)`` compilations of the two kernels."""
-
-    name = "numba"
-
-    def __init__(self) -> None:
-        try:
-            import numba  # noqa: F401 -- availability probe
-        except ImportError as exc:  # pragma: no cover - exercised sans numba
-            raise KernelUnavailable(
-                "the numba kernel backend needs the optional numba "
-                "dependency (pip install repro-mm[speed])"
-            ) from exc
-        self._strict = None
-        self._ready = None
-
-    def _jit(self):
-        if self._strict is None:
-            from numba import njit
-
-            self._strict = njit(cache=True)(_strict_run)
-            self._ready = njit(cache=True)(_ready_run)
-        return self._strict, self._ready
-
-    def ensure_ready(self) -> None:
-        """Force JIT compilation of both kernels on representative dtypes
-        (so the first real run pays no compile time)."""
-        if self._strict is not None:
-            return
-        with trace("kernel.build", backend=self.name), stopwatch("kernel.build_seconds"):
-            self._warm()
-
-    def _warm(self) -> None:
-        strict, ready = self._jit()
-        i64 = np.zeros(1, np.int64)
-        f64 = np.zeros(1, np.float64)
-        tb_i = np.zeros((1, 1), np.int64)
-        tb_f = np.zeros((1, 1), np.float64)
-        tb_b = np.zeros((1, 1), np.bool_)
-        bp = np.zeros((1, 1), np.int64)
-        bp_f = np.zeros((1, 1), np.float64)
-        strict(0, 0, 0, i64, tb_i, tb_i, tb_i, tb_f, tb_f, tb_b, tb_b, f64, f64, f64)
-        ready(
-            0, 0, 0, 1, i64, bp, bp, bp, bp_f, bp_f,
-            np.zeros(1, np.int8), f64, f64, f64, i64, i64, i64, f64, f64, f64,
-        )
-
-    def strict_run(self, *args) -> None:
-        self._jit()
-        self._strict(*args)
-
-    def ready_run(self, *args) -> None:
-        self._jit()
-        self._ready(*args)
-
-
 class CBackend(KernelBackend):
     """The C kernels, built once with the system compiler and driven
     through :mod:`ctypes`.
@@ -466,15 +269,15 @@ class CBackend(KernelBackend):
     def __init__(self) -> None:
         import shutil
 
+        cc = os.environ.get("CC")
         self._cc = (
-            os.environ.get("CC")
-            or shutil.which("cc")
-            or shutil.which("gcc")
-            or shutil.which("clang")
+            shutil.which(cc)
+            if cc
+            else shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
         )
         if not self._cc:
             raise KernelUnavailable(
-                "the c kernel backend needs a C compiler (cc/gcc/clang) on PATH"
+                f"the c kernel backend needs a C compiler ({cc or 'cc/gcc/clang'}) on PATH"
             )
         self._lib = None
 
@@ -530,20 +333,17 @@ class CBackend(KernelBackend):
             return so_path
 
         try:
-            so_path = compile_into(self._cache_dir())
-        except subprocess.CalledProcessError as exc:
-            raise KernelUnavailable(
-                f"C kernel compilation failed with {self._cc}: {exc.stderr}"
-            ) from exc
-        except OSError:
-            # unwritable cache dir: build into a process-private tempdir
             try:
+                so_path = compile_into(self._cache_dir())
+            except OSError:
+                # unwritable cache dir: build into a process-private tempdir
                 so_path = compile_into(tempfile.mkdtemp(prefix="repro-kernels-"))
-            except subprocess.CalledProcessError as exc:
-                raise KernelUnavailable(
-                    f"C kernel compilation failed with {self._cc}: {exc.stderr}"
-                ) from exc
-        lib = ctypes.CDLL(so_path)
+            lib = ctypes.CDLL(so_path)
+        except (subprocess.CalledProcessError, OSError) as exc:
+            detail = getattr(exc, "stderr", None) or exc
+            raise KernelUnavailable(
+                f"C kernel compilation failed with {self._cc}: {detail}"
+            ) from exc
         i64 = ctypes.c_int64
         ptr = ctypes.c_void_p
         lib.strict_run.restype = None
@@ -571,7 +371,6 @@ class CBackend(KernelBackend):
         self, t0, t1, B, lengths, d_legal, d_ce, d_ring, d_comm, d_comp,
         d_round, d_cret, S, port_free, port_busy,
     ) -> None:
-        self.ensure_ready()
         p, f8, i8 = self._p, np.float64, np.int64
         self._lib.strict_run(
             t0, t1, B,
@@ -586,7 +385,6 @@ class CBackend(KernelBackend):
         f_kind, f_comm, f_comp, f_cid, f_legal, f_ring, fields,
         S, port_free, port_busy,
     ) -> None:
-        self.ensure_ready()
         p, f8, i8 = self._p, np.float64, np.int64
         self._lib.ready_run(
             t0, t1, B, P,
@@ -602,12 +400,7 @@ class CBackend(KernelBackend):
 # ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
-_FACTORIES = {
-    "numpy": NumpyBackend,
-    "numba": NumbaBackend,
-    "c": CBackend,
-    "python": PythonBackend,
-}
+_FACTORIES = {"numpy": NumpyBackend, "c": CBackend}
 _instances: dict[str, KernelBackend] = {}
 _failures: dict[str, str] = {}
 _warned: set[str] = set()
@@ -617,9 +410,10 @@ def get_backend(name: str) -> KernelBackend:
     """The backend registered under ``name``.
 
     Raises :class:`ValueError` for unknown names and
-    :class:`KernelUnavailable` when the backend cannot run here (numba
-    missing, no C compiler).  Instances are cached per process; so are
-    unavailability verdicts.
+    :class:`KernelUnavailable` when the backend cannot run here (no C
+    compiler, failed build).  The first request builds the backend
+    (:meth:`KernelBackend.ensure_ready`); instances are cached per
+    process, and so are unavailability verdicts.
     """
     if name not in _FACTORIES:
         raise ValueError(f"unknown kernel backend {name!r}; known: {KERNEL_NAMES}")
@@ -630,6 +424,7 @@ def get_backend(name: str) -> KernelBackend:
         raise KernelUnavailable(_failures[name])
     try:
         backend = _FACTORIES[name]()
+        backend.ensure_ready()
     except KernelUnavailable as exc:
         _failures[name] = str(exc)
         raise
@@ -639,7 +434,8 @@ def get_backend(name: str) -> KernelBackend:
 
 def available_backends() -> tuple[str, ...]:
     """Names of the backends that can actually run in this environment
-    (probing compiles/loads nothing beyond an import / compiler lookup)."""
+    (the first probe builds each backend; the C library build is cached
+    on disk)."""
     out = []
     for name in KERNEL_NAMES:
         try:
@@ -656,8 +452,9 @@ def resolve_kernel(kernel=None) -> KernelBackend:
     ``None`` consults :data:`KERNEL_ENV` (``REPRO_KERNEL``) and defaults
     to ``"numpy"``; a :class:`KernelBackend` passes through; a name is
     looked up in the registry.  A requested-but-unavailable backend falls
-    back to numpy with one clear warning per process, so environment-knob
-    users never crash on a machine without the optional dependency.
+    back to numpy with one clear warning per process, so
+    ``REPRO_KERNEL=c`` is safe to export on a machine without a working C
+    compiler.
     """
     if isinstance(kernel, KernelBackend):
         return kernel

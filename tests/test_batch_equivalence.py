@@ -256,8 +256,8 @@ def _strict_factory(assignments, c_mode, rng):
     return StrictOrderPolicy(order)
 
 
-#: Every kernel backend that can run here -- the numpy oracle plus any
-#: compiled ones (numba/c) and the interpreted kernel-algorithm oracle.
+#: Every kernel backend that can run here -- the numpy oracle plus the
+#: compiled C backend when a C compiler works.
 KERNELS = available_backends()
 
 

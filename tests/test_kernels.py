@@ -1,11 +1,12 @@
 """Kernel-backend registry semantics and compiled-path integration.
 
 The equivalence walls (``test_batch_equivalence``, ``test_golden_figures``)
-pin that every backend computes bit-identical results; this file pins the
-*registry* contract around them: resolution order (instance > name > env >
-numpy), unknown-name errors, the single-warning numpy fallback for
-unavailable backends, whole-run vs per-step dispatch, windowed stepping,
-and the ``fast_simulate``/harness integration points.
+pin that the C backend computes bit-identical results to the numpy
+oracle; this file pins the *registry* contract around them: resolution
+order (instance > name > env > numpy), unknown-name errors, the
+single-warning numpy fallback for unavailable backends (a failed C build
+included), whole-run vs per-step dispatch, windowed stepping, and
+``REPRO_KERNEL`` reaching every simulation of the harness.
 """
 
 from __future__ import annotations
@@ -36,14 +37,18 @@ from repro.sim.policies import POLICY_KEY_FIELDS, ReadyPolicy
 # registry + resolution
 # ----------------------------------------------------------------------
 def test_registry_names_cover_all_factories():
-    assert set(KERNEL_NAMES) == {"numpy", "numba", "c", "python"}
+    assert KERNEL_NAMES == ("numpy", "c")
     for name in available_backends():
         assert get_backend(name).name == name
 
 
-def test_numpy_and_python_always_available():
-    avail = available_backends()
-    assert "numpy" in avail and "python" in avail
+def test_numpy_always_available():
+    assert "numpy" in available_backends()
+
+
+def needs_c():
+    if "c" not in available_backends():
+        pytest.skip("no working C compiler here")
 
 
 def test_field_codes_cover_policy_vocabulary():
@@ -53,47 +58,61 @@ def test_field_codes_cover_policy_vocabulary():
 
 def test_whole_run_flags():
     assert get_backend("numpy").whole_run is False
-    assert get_backend("python").whole_run is True
+    if "c" in available_backends():
+        assert get_backend("c").whole_run is True
 
 
-def test_unknown_name_raises_value_error():
-    with pytest.raises(ValueError, match="unknown kernel backend"):
-        get_backend("fortran")
-    with pytest.raises(ValueError, match="unknown kernel backend"):
-        resolve_kernel("fortran")
+def test_unknown_name_raises_value_error(monkeypatch):
+    """Unknown names -- the removed ``numba``/``python`` backends
+    included -- raise, whether passed directly or through the env knob."""
+    for name in ("fortran", "numba", "python"):
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            get_backend(name)
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            resolve_kernel(name)
+        monkeypatch.setenv(KERNEL_ENV, name)
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            resolve_kernel(None)
 
 
 def test_resolve_instance_passes_through():
-    backend = get_backend("python")
+    backend = get_backend("numpy")
     assert resolve_kernel(backend) is backend
 
 
 def test_resolve_name_and_default(monkeypatch):
     monkeypatch.delenv(KERNEL_ENV, raising=False)
     assert resolve_kernel(None).name == "numpy"
-    assert resolve_kernel("python").name == "python"
+    assert resolve_kernel("numpy").name == "numpy"
 
 
 def test_resolve_env_knob(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV, "python")
-    assert resolve_kernel(None).name == "python"
+    needs_c()
+    monkeypatch.setenv(KERNEL_ENV, "c")
+    assert resolve_kernel(None).name == "c"
     # explicit kernel= beats the environment
     assert resolve_kernel("numpy").name == "numpy"
 
 
 @pytest.fixture
-def broken_backend(monkeypatch):
-    """Temporarily make the ``numba`` backend unavailable (it may or may
-    not be installed here) and re-arm the one-warning-per-process latch."""
-
-    def unavailable():
-        raise KernelUnavailable("numba disabled for this test")
-
-    monkeypatch.setattr(kernels, "_FACTORIES", {**kernels._FACTORIES, "numba": unavailable})
+def fresh_registry(monkeypatch):
+    """Empty the per-process backend, verdict and warning caches for the
+    duration of one test."""
     monkeypatch.setattr(kernels, "_instances", {})
     monkeypatch.setattr(kernels, "_failures", {})
     monkeypatch.setattr(kernels, "_warned", set())
-    return "numba"
+
+
+@pytest.fixture
+def broken_backend(monkeypatch, fresh_registry):
+    """Temporarily make the ``c`` backend unavailable (whether or not a
+    compiler exists here)."""
+
+    def unavailable():
+        raise KernelUnavailable("c disabled for this test")
+
+    monkeypatch.setattr(kernels, "_FACTORIES", {**kernels._FACTORIES, "c": unavailable})
+    return "c"
 
 
 def test_unavailable_backend_raises_on_direct_get(broken_backend):
@@ -114,9 +133,29 @@ def test_unavailable_backend_falls_back_with_single_warning(broken_backend):
 
 def test_unavailable_env_knob_falls_back(monkeypatch, broken_backend):
     monkeypatch.setenv(KERNEL_ENV, broken_backend)
-    monkeypatch.setattr(kernels, "_warned", set())
     with pytest.warns(RuntimeWarning, match="unavailable"):
         assert resolve_kernel(None).name == "numpy"
+
+
+@pytest.mark.parametrize("cc", ["/bin/false", "no-such-cc"], ids=["failing", "missing"])
+def test_c_build_failure_falls_back(
+    monkeypatch, tmp_path, fresh_registry, het_platform, small_grid, cc
+):
+    """A compiler that fails to build the kernel, or ``$CC`` naming no
+    executable, makes ``c`` unavailable: one warning, then numpy -- never
+    an error mid-simulation."""
+    monkeypatch.setenv("CC", cc)
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert resolve_kernel("c").name == "numpy"
+        routed = fast_simulate(
+            het_platform, make_and_strip("Hom", het_platform, small_grid), kernel="c"
+        )
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "c" not in available_backends()
+    scalar = fast_simulate(het_platform, make_and_strip("Hom", het_platform, small_grid))
+    assert routed.makespan == scalar.makespan
 
 
 # ----------------------------------------------------------------------
@@ -165,12 +204,11 @@ def test_windowed_stepping_matches_full_run(scheduler, het_platform, small_grid,
             assert np.array_equal(replay(name, chunk), reference), (name, chunk)
 
 
-@pytest.mark.parametrize("kernel", ["numba", "c", "python"])
+@pytest.mark.parametrize("kernel", ["c"])
 def test_fast_simulate_routes_through_batch(kernel, het_platform, small_grid):
     """Under a whole-run backend, batch-replayable plans take the compiled
     B=1 batch route and stay bit-identical to the scalar fast path."""
-    if kernel not in available_backends():
-        pytest.skip(f"kernel backend {kernel!r} unavailable here")
+    needs_c()
     for name in ("Hom", "ORROML"):
         plan = make_scheduler(name).plan(het_platform, small_grid)
         plan.collect_events = False
@@ -190,6 +228,7 @@ def make_and_strip(name, platform, grid):
 def test_fast_simulate_kernel_ignored_for_unbatchable_plans(het_platform, small_grid):
     """Allocator-driven plans cannot take the batch route; kernel= must
     degrade to the scalar/reference paths, not crash."""
+    needs_c()
     scalar = fast_simulate(
         het_platform, make_and_strip("BMM", het_platform, small_grid), small_grid
     )
@@ -197,30 +236,32 @@ def test_fast_simulate_kernel_ignored_for_unbatchable_plans(het_platform, small_
         het_platform,
         make_and_strip("BMM", het_platform, small_grid),
         small_grid,
-        kernel="python",
+        kernel="c",
     )
     assert routed.makespan == scalar.makespan
 
 
 def test_fast_simulate_opaque_priority_still_reference(het_platform):
+    needs_c()
     plan = Plan(
         assignments=[[] for _ in range(het_platform.p)],
         policy=ReadyPolicy(lambda engine, widx: (-widx,)),
         depths=[2] * het_platform.p,
     )
-    res = fast_simulate(het_platform, plan, kernel="python")
+    res = fast_simulate(het_platform, plan, kernel="c")
     assert res.makespan == 0.0
 
 
 def test_engine_records_backend(het_platform, small_grid):
+    needs_c()
     runs = _strict_runs(het_platform, small_grid, small_grid)
-    assert BatchEngine(runs, kernel="python")._backend.name == "python"
+    assert BatchEngine(runs, kernel="c")._backend.name == "c"
 
 
 # ----------------------------------------------------------------------
 # harness integration
 # ----------------------------------------------------------------------
-def test_evaluate_runs_kernel_parity(het_platform, small_grid, ragged_grid):
+def test_evaluate_runs_kernel_parity(monkeypatch, het_platform, small_grid, ragged_grid):
     from repro.experiments.harness import evaluate_runs
 
     def jobs():
@@ -235,14 +276,15 @@ def test_evaluate_runs_kernel_parity(het_platform, small_grid, ragged_grid):
     base = evaluate_runs(jobs(), "fast")
     for engine in ("fast", "batch"):
         for kernel in available_backends():
-            got = evaluate_runs(jobs(), engine, kernel=kernel)
+            monkeypatch.setenv(KERNEL_ENV, kernel)
+            got = evaluate_runs(jobs(), engine)
             assert [m for m, _n, _meta in got] == [m for m, _n, _meta in base], (
                 engine,
                 kernel,
             )
 
 
-def test_run_experiment_kernel_parity(het_platform, small_grid):
+def test_run_experiment_kernel_parity(monkeypatch, het_platform, small_grid):
     from repro.experiments.harness import Instance, run_experiment
 
     instances = [Instance("inst", het_platform, small_grid)]
@@ -250,9 +292,33 @@ def test_run_experiment_kernel_parity(het_platform, small_grid):
     ref = {(m.algorithm, m.instance): m.makespan for m in base.measurements}
     for engine in ("fast", "batch"):
         for kernel in compiled_names():
-            res = run_experiment("kernels", instances, engine=engine, kernel=kernel)
+            monkeypatch.setenv(KERNEL_ENV, kernel)
+            res = run_experiment("kernels", instances, engine=engine)
             got = {(m.algorithm, m.instance): m.makespan for m in res.measurements}
             assert got == ref, (engine, kernel)
+
+
+def test_env_knob_reaches_every_engine_of_a_run(monkeypatch, het_platform, small_grid):
+    """Under ``REPRO_KERNEL=c`` every BatchEngine a HomI/Het experiment
+    builds -- threshold search, variant scoring and final replay alike --
+    steps on the C kernel."""
+    from repro.experiments.harness import Instance, run_experiment
+
+    needs_c()
+    monkeypatch.setenv(KERNEL_ENV, "c")
+    backends = []
+    init = BatchEngine.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        backends.append(self._backend.name)
+
+    monkeypatch.setattr(BatchEngine, "__init__", recording_init)
+    schedulers = [make_scheduler("HomI"), make_scheduler("Het")]
+    run_experiment("env", [Instance("inst", het_platform, small_grid)], schedulers)
+    # more engines than the two final replays: the searches ran too
+    assert len(backends) > len(schedulers)
+    assert set(backends) == {"c"}
 
 
 # ----------------------------------------------------------------------

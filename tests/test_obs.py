@@ -284,7 +284,7 @@ class TestRunMetadata:
             meta
         )
         assert isinstance(meta["cpu_count"], int)
-        assert meta["kernel"] in ("numpy", "numba", "c", "python")
+        assert meta["kernel"] in ("numpy", "c")
         json.dumps(meta)
 
     def test_module_reexports(self):

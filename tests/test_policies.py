@@ -11,7 +11,7 @@ from repro.sim.policies import (
     ReadyPolicy,
     StrictOrderPolicy,
     demand_priority,
-    resolve_key_spec,
+    key_spec_of,
     selection_order_priority,
 )
 
@@ -103,36 +103,16 @@ class TestPolicyKeySpec:
     def test_vocabulary_is_closed(self):
         assert set(POLICY_KEY_FIELDS) == {"head_cid", "legal_start", "worker_index"}
 
-    def test_resolve_spec_passthrough(self):
-        spec = PolicyKeySpec(("legal_start",))
-        assert resolve_key_spec(spec) is spec
-        assert resolve_key_spec(lambda e, w: (w,)) is None
-
-    def test_legacy_fast_key_marker_resolves_with_deprecation(self):
-        from repro.sim.policies import _warned_sites
-
-        _warned_sites.clear()  # re-arm the once-per-call-site dedupe
-
-        def legacy(engine, widx):
-            return (engine.head(widx).chunk.cid, widx)
-
-        legacy.fast_key = "cid"
-        with pytest.warns(DeprecationWarning, match="fast_key"):
-            assert resolve_key_spec(legacy) == selection_order_priority
-
-        def legacy_legal(engine, widx):
-            return (engine.legal_start(widx), widx)
-
-        legacy_legal.fast_key = "legal"
-        with pytest.warns(DeprecationWarning):
-            assert resolve_key_spec(legacy_legal) == demand_priority
-
     def test_unknown_marker_is_opaque(self):
+        """No ``fast_key`` marker value is known: a marked function stays
+        an opaque priority that only the reference engine runs."""
+
         def odd(engine, widx):
             return (widx,)
 
-        odd.fast_key = "???"
-        assert resolve_key_spec(odd) is None
+        odd.fast_key = "cid"
+        assert key_spec_of(odd) is None
+        assert ReadyPolicy(odd).priority is odd
 
     def test_key_spec_of_never_warns_and_ignores_markers(self):
         import warnings
@@ -149,50 +129,9 @@ class TestPolicyKeySpec:
             assert key_spec_of(legacy) is None
             assert key_spec_of(lambda e, w: (w,)) is None
 
-    def test_ready_policy_converts_legacy_marker_with_warning(self):
-        """Legacy fast_key priorities are converted at the policy boundary,
-        so the engines only ever see specs (and keep the fast path)."""
-        from repro.sim.policies import _warned_sites
-
-        _warned_sites.clear()  # re-arm the once-per-call-site dedupe
-
-        def legacy(engine, widx):
-            return (engine.head(widx).chunk.cid, widx)
-
-        legacy.fast_key = "cid"
-        with pytest.warns(DeprecationWarning, match="fast_key"):
-            policy = ReadyPolicy(legacy)
-        assert policy.priority == selection_order_priority
-
     def test_ready_policy_with_spec_does_not_warn(self):
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ReadyPolicy(demand_priority)
-
-    def test_legacy_warning_fires_once_per_call_site(self):
-        """Replaying a plan re-resolves its priority on every run; the
-        deprecation must not spam hot loops — one warning per source
-        location, however many times that line executes."""
-        import warnings
-
-        from repro.sim.policies import _warned_sites
-
-        _warned_sites.clear()
-
-        def legacy(engine, widx):
-            return (engine.head(widx).chunk.cid, widx)
-
-        legacy.fast_key = "cid"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(5):
-                assert resolve_key_spec(legacy) == selection_order_priority
-        assert len([w for w in caught if issubclass(w.category, DeprecationWarning)]) == 1
-
-        # a *different* call site still gets its own warning
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            resolve_key_spec(legacy)
-        assert len([w for w in caught if issubclass(w.category, DeprecationWarning)]) == 1
