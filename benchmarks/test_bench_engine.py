@@ -12,6 +12,7 @@ bit-identical while the compiled ones get faster.
 import time
 
 import numpy as np
+import pytest
 
 from repro.core.blocks import BlockGrid
 from repro.platform.generators import memory_heterogeneous
@@ -93,11 +94,16 @@ def _time_engine(engine: BatchEngine, rounds: int = _LADDER_ROUNDS) -> float:
     return best
 
 
-def _ladder(scheduler_name: str):
+def _ladder(scheduler_name: str, build_dir):
     """Time one paper-scale plan population through every ladder rung.
 
+    The scalar and numpy rungs pin ``kernel="numpy"`` so the baseline
+    does not follow ``REPRO_KERNEL``.  Each compiled rung is first built
+    from source into the empty ``build_dir`` (its kernel cache), so the
+    recorded build time is a real compile plus load.
+
     Returns ``(steps_per_plan, rows)`` where each row is
-    ``(label, seconds, warmup_seconds or None, makespans)``.
+    ``(label, seconds, build_seconds or None, makespans)``.
     """
     plat = memory_heterogeneous()
     grid = BlockGrid.paper_instance(80_000)
@@ -107,28 +113,30 @@ def _ladder(scheduler_name: str):
 
     rows = []
     t0 = time.perf_counter()
-    scalar = [fast_simulate(p, _clone(pl)).makespan for p, pl in runs]
+    scalar = [fast_simulate(p, _clone(pl), kernel="numpy").makespan for p, pl in runs]
     rows.append(("scalar", time.perf_counter() - t0, None, np.array(scalar)))
 
-    numpy_engine = BatchEngine(runs)
+    numpy_engine = BatchEngine(runs, kernel="numpy")
     rows.append(("numpy", _time_engine(numpy_engine), None, numpy_engine.makespans()))
 
     for name in available_backends():
         if name == "numpy":
             continue
-        backend = type(get_backend(name))()  # fresh instance: time its warm-up
-        t0 = time.perf_counter()
-        backend.ensure_ready()  # build (or load the cached build), timed separately
-        warmup = time.perf_counter() - t0
+        backend = type(get_backend(name))()  # fresh instance: time its build
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("REPRO_KERNEL_CACHE", str(build_dir))
+            t0 = time.perf_counter()
+            backend.ensure_ready()  # compile and load, timed separately
+            build = time.perf_counter() - t0
         engine = BatchEngine(
             [(plat, _clone(plan)) for _ in range(_LADDER_B)], kernel=backend
         )
-        rows.append((name, _time_engine(engine), warmup, engine.makespans()))
+        rows.append((name, _time_engine(engine), build, engine.makespans()))
     return _plan_steps(plan), rows
 
 
-def _report_ladder(name: str, scheduler_name: str, emit) -> None:
-    steps, rows = _ladder(scheduler_name)
+def _report_ladder(name: str, scheduler_name: str, emit, build_dir) -> None:
+    steps, rows = _ladder(scheduler_name, build_dir)
     base = dict((label, secs) for label, secs, _w, _m in rows)["numpy"]
     reference = rows[0][3]
     lines = [
@@ -136,16 +144,16 @@ def _report_ladder(name: str, scheduler_name: str, emit) -> None:
         f"(best of {_LADDER_ROUNDS})"
     ]
     data = {"steps": steps, "batch": _LADDER_B, "rungs": {}}
-    for label, secs, warmup, makespans in rows:
+    for label, secs, build, makespans in rows:
         assert np.array_equal(makespans, reference), label  # bit-identical
-        extra = f", warm-up {warmup * 1e3:.1f} ms" if warmup is not None else ""
+        extra = f", build {build * 1e3:.0f} ms" if build is not None else ""
         lines.append(
             f"  {label:>7}: {secs * 1e3:8.2f} ms  ({base / secs:6.1f}x vs numpy{extra})"
         )
         data["rungs"][label] = {
             "seconds": secs,
             "speedup_vs_numpy": base / secs,
-            "warmup_seconds": warmup,
+            "build_seconds": build,
         }
     emit(name, "\n".join(lines), data=data)
     # the compiled backend must beat the per-step numpy path handily
@@ -154,11 +162,11 @@ def _report_ladder(name: str, scheduler_name: str, emit) -> None:
             assert base / secs >= 3.0, (label, base / secs)
 
 
-def test_kernel_ladder_strict(emit):
+def test_kernel_ladder_strict(emit, tmp_path):
     """Compiled-vs-numpy-vs-scalar ladder on the strict-order recurrence."""
-    _report_ladder("kernel_ladder_strict", "Hom", emit)
+    _report_ladder("kernel_ladder_strict", "Hom", emit, tmp_path)
 
 
-def test_kernel_ladder_ready(emit):
+def test_kernel_ladder_ready(emit, tmp_path):
     """The same ladder through the ready-mode lexicographic selection."""
-    _report_ladder("kernel_ladder_ready", "ORROML", emit)
+    _report_ladder("kernel_ladder_ready", "ORROML", emit, tmp_path)

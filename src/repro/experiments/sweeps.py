@@ -17,7 +17,7 @@ from ..core.blocks import BlockGrid
 from ..obs import trace
 from ..platform.generators import fully_heterogeneous, scale_grid, scale_platform
 from ..schedulers.base import SchedulingError
-from ..schedulers.registry import make_scheduler
+from ..schedulers.registry import canonical_name, make_scheduler
 from ..theory.steady_state import makespan_lower_bound
 
 __all__ = [
@@ -135,7 +135,8 @@ def heterogeneity_sweep(
 ) -> HeterogeneitySweep:
     """Run every algorithm over fully heterogeneous platforms whose
     large/small parameter ratio sweeps over ``ratios``."""
-    sweep = HeterogeneitySweep(algorithms=list(algorithms))
+    algorithms = [canonical_name(name) for name in algorithms]
+    sweep = HeterogeneitySweep(algorithms=algorithms)
     grid = scale_grid(BlockGrid.paper_instance(s_elements), scale)
     labelled = []
     for ratio in ratios:
@@ -216,7 +217,8 @@ def straggler_sweep(
     timeline event, so this static sweep and the dynamic-platform scenarios
     share one definition.
     """
-    sweep = HeterogeneitySweep(algorithms=list(algorithms))
+    algorithms = [canonical_name(name) for name in algorithms]
+    sweep = HeterogeneitySweep(algorithms=algorithms)
     labelled = []
     grid = scale_grid(BlockGrid.paper_instance(s_elements), scale)
     for slowdown in slowdowns:

@@ -181,12 +181,13 @@ class BatchOutcome:
 
 
 def _tier_counter(name: str) -> property:
-    """Per-instance view of one registry-backed tier counter: the
-    process-wide ``batch.compile.<name>`` total minus this instance's
-    baseline (taken at construction / :meth:`BatchCompileCache.clear`)."""
+    """Per-instance count of one tier counter since construction /
+    :meth:`BatchCompileCache.clear` (the process-wide
+    ``batch.compile.<name>`` registry total also counts every other
+    cache's lookups)."""
 
     def _get(self) -> int:
-        return self._metrics[name].value - self._base[name]
+        return self._counts[name]
 
     _get.__name__ = name
     return property(_get, doc=_tier_counter.__doc__)
@@ -219,12 +220,11 @@ class BatchCompileCache:
     miss is a compilation), so tests — and profiling — can assert exactly
     which tier recompiled: e.g. re-scoring a shared plan under new worker
     costs must hit ``tmpl`` and ``struct`` and miss only ``stream`` (the
-    two cost multiplies).  The counts feed the process-wide metrics
+    two cost multiplies).  The counts also feed the process-wide metrics
     registry (``batch.compile.<tier>_{hits,misses}``); the per-instance
-    properties subtract a baseline taken at construction, so they read
-    exactly as the old plain-int attributes did.  :meth:`clear` resets
-    the per-instance counters with the entries (the registry totals keep
-    accumulating).
+    properties count only this cache's lookups, whatever other caches
+    compile meanwhile.  :meth:`clear` resets the per-instance counters
+    with the entries (the registry totals keep accumulating).
     """
 
     _COUNTERS = (
@@ -236,7 +236,7 @@ class BatchCompileCache:
         "stream_misses",
     )
 
-    __slots__ = ("tmpl", "struct", "stream", "_metrics", "_base")
+    __slots__ = ("tmpl", "struct", "stream", "_metrics", "_counts")
 
     def __init__(self) -> None:
         self.tmpl: dict[tuple, tuple] = {}
@@ -248,11 +248,12 @@ class BatchCompileCache:
         self._reset_counters()
 
     def _reset_counters(self) -> None:
-        self._base = {name: m.value for name, m in self._metrics.items()}
+        self._counts = dict.fromkeys(self._COUNTERS, 0)
 
     def bump(self, name: str) -> None:
         """Count one lookup outcome (``name`` is one of the per-tier
         counters, e.g. ``"tmpl_hits"``)."""
+        self._counts[name] += 1
         self._metrics[name].inc()
 
     tmpl_hits = _tier_counter("tmpl_hits")

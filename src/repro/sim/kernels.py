@@ -450,13 +450,15 @@ def resolve_kernel(kernel=None) -> KernelBackend:
     """Resolve a ``kernel=`` parameter to a backend instance.
 
     ``None`` consults :data:`KERNEL_ENV` (``REPRO_KERNEL``) and defaults
-    to ``"numpy"``; a :class:`KernelBackend` passes through; a name is
+    to ``"numpy"``; a :class:`KernelBackend` passes through, built first
+    if it is not yet (:meth:`KernelBackend.ensure_ready`); a name is
     looked up in the registry.  A requested-but-unavailable backend falls
     back to numpy with one clear warning per process, so
     ``REPRO_KERNEL=c`` is safe to export on a machine without a working C
     compiler.
     """
     if isinstance(kernel, KernelBackend):
+        kernel.ensure_ready()
         return kernel
     if kernel is None:
         kernel = os.environ.get(KERNEL_ENV, "").strip() or "numpy"

@@ -212,7 +212,10 @@ def test_fast_simulate_routes_through_batch(kernel, het_platform, small_grid):
     for name in ("Hom", "ORROML"):
         plan = make_scheduler(name).plan(het_platform, small_grid)
         plan.collect_events = False
-        scalar = fast_simulate(het_platform, make_and_strip(name, het_platform, small_grid), small_grid)
+        scalar = fast_simulate(
+            het_platform, make_and_strip(name, het_platform, small_grid), small_grid,
+            kernel="numpy",
+        )
         compiled = fast_simulate(het_platform, plan, small_grid, kernel=kernel)
         assert compiled.makespan == scalar.makespan
         assert compiled.worker_stats == scalar.worker_stats
@@ -230,7 +233,8 @@ def test_fast_simulate_kernel_ignored_for_unbatchable_plans(het_platform, small_
     degrade to the scalar/reference paths, not crash."""
     needs_c()
     scalar = fast_simulate(
-        het_platform, make_and_strip("BMM", het_platform, small_grid), small_grid
+        het_platform, make_and_strip("BMM", het_platform, small_grid), small_grid,
+        kernel="numpy",
     )
     routed = fast_simulate(
         het_platform,
@@ -336,3 +340,19 @@ def test_c_backend_builds_into_configured_cache(monkeypatch, tmp_path):
     backend2 = type(get_backend("c"))()
     backend2.ensure_ready()
     assert list(tmp_path.glob("repro_kernels_*.so")) == libs
+
+
+def test_resolve_builds_a_fresh_instance(monkeypatch, tmp_path, het_platform, small_grid):
+    """A backend instance passed as ``kernel=`` is built on resolution,
+    so an engine can run it without a prior ``ensure_ready()``."""
+    needs_c()
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+    backend = type(get_backend("c"))()
+    engine = BatchEngine(_strict_runs(het_platform, small_grid, small_grid), kernel=backend)
+    assert engine._backend is backend
+    engine.run()
+    reference = BatchEngine(
+        _strict_runs(het_platform, small_grid, small_grid), kernel="numpy"
+    )
+    reference.run()
+    assert np.array_equal(engine.makespans(), reference.makespans())

@@ -64,3 +64,20 @@ class TestStragglerSweep:
     def test_blind_algorithms_inherit_straggler_pace(self, straggler):
         hit = straggler.points[-1]
         assert hit.makespans["ORROML"] >= hit.makespans["Het"]
+
+
+def test_algorithm_names_are_case_insensitive():
+    """Sweeps key their results by the registered spelling, so lowercase
+    names read back through the sweep's own accessors."""
+    from repro.experiments.sweeps import straggler_sweep
+
+    het = heterogeneity_sweep(ratios=(2.0,), scale=0.1, algorithms=("het", "bmm"))
+    strag = straggler_sweep(slowdowns=(4.0,), scale=0.1, p=4, algorithms=("het", "orroml"))
+    assert het.algorithms == ["Het", "BMM"]
+    assert strag.algorithms == ["Het", "ORROML"]
+    for sweep in (het, strag):
+        pt = sweep.points[0]
+        assert [pt.relative(a) for a in sweep.algorithms] == [
+            pt.makespans[a] / min(pt.makespans.values()) for a in sweep.algorithms
+        ]
+        assert "Het/bound" in sweep.table()
